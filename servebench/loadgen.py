@@ -211,6 +211,7 @@ class Phase:
     samples: list = field(default_factory=list)
     wall_s: float = 0.0
     cpu_s: float = 0.0
+    #: VmHWM at ``Fixtures.rss_at_ops`` completed ops; 0 if never reached
     rss_mb: float = 0.0
     rss_ops: int = 0
     start: float = 0.0
@@ -279,8 +280,5 @@ def drive(server: Server, fx: Fixtures, seconds: float, prefix: str) -> Phase:
         raise errors[0]
     phase.cpu_s = server.cpu_s() - cpu_before
     phase.wall_s = phase.end - phase.start
-    if not phase.rss_ops:  # fewer ops than the fixed count: read at the end
-        phase.rss_mb = server.peak_rss_mb()
-        phase.rss_ops = done[0]
     phase.samples = [s for out in results for s in out]
     return phase

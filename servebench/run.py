@@ -29,8 +29,10 @@ SRC = os.path.join(ROOT, "src")
 
 #: server launches per --trace 0 run; setup_s is their median
 SETUP_LAUNCHES = 5
-#: the tail percentile reported as ``*_p90_ms``
+#: the tail percentile reported as ``*_p90_ms``, and the samples every
+#: kind must have beyond it for the percentile to be reported
 TAIL_Q = 0.90
+MIN_BEYOND_TAIL = 10
 #: strategies the planner picks on these workloads; each gets an
 #: ``engine.execute_ms.<strategy>`` metric
 STRATEGIES = ("structural-join", "binary", "yannakakis", "minoux")
@@ -70,6 +72,11 @@ def percentile(values: list, q: float) -> float:
     return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
 
 
+def beyond_tail(count: int) -> int:
+    """Samples above the nearest-rank ``TAIL_Q`` percentile of ``count``."""
+    return count - math.ceil(TAIL_Q * count)
+
+
 def metric(value: float, unit: str) -> dict:
     return {"value": value, "unit": unit}
 
@@ -83,7 +90,9 @@ def latency_metrics(phase, kinds) -> "tuple[dict, dict]":
     """Per-kind p50/p90 (ms) and sample counts.
 
     A failed or wrong operation counts as missing every latency limit:
-    it enters the percentiles at the whole phase's length.
+    it enters the percentiles at the whole phase's length.  A kind with
+    too few samples for a p90 with ``MIN_BEYOND_TAIL`` beyond it is an
+    error, not a quietly thinner tail.
     """
     out, counts = {}, {}
     miss = phase.wall_s
@@ -91,14 +100,22 @@ def latency_metrics(phase, kinds) -> "tuple[dict, dict]":
         values = [s.latency_s if s.ok else miss
                   for s in phase.samples if s.kind == kind]
         counts[kind] = len(values)
-        if not values:
-            raise BenchError(f"no {kind} operations completed")
+        if beyond_tail(len(values)) < MIN_BEYOND_TAIL:
+            raise BenchError(
+                f"{len(values)} {kind} samples leave {beyond_tail(len(values))} "
+                f"beyond the p{TAIL_Q * 100:.0f}; it needs {MIN_BEYOND_TAIL}"
+            )
         out[f"{kind}_p50_ms"] = metric(percentile(values, 0.5) * 1e3, "ms")
         out[f"{kind}_p90_ms"] = metric(percentile(values, TAIL_Q) * 1e3, "ms")
     return out, counts
 
 
-def end_to_end(setups: list, phase, kinds) -> "tuple[dict, dict]":
+def end_to_end(setups: list, phase, kinds, rss_at_ops: int) -> "tuple[dict, dict]":
+    if phase.rss_ops != rss_at_ops:
+        raise BenchError(
+            f"the phase ended after {len(phase.samples)} ops, before the "
+            f"{rss_at_ops} at which peak RSS is read"
+        )
     ops = len(phase.samples)
     completed = sum(1 for s in phase.samples if s.ok)
     metrics = {"setup_s": metric(statistics.median(setups), "s")}
@@ -314,8 +331,7 @@ def run(args) -> dict:
             phase = drive(server, fx, args.seconds, "bench-run-")
         finally:
             server.stop()
-        dump_samples(phase, os.path.join(workdir, "samples.jsonl"))
-        metrics, report["samples"] = end_to_end(setups, phase, kinds)
+        metrics, report["samples"] = end_to_end(setups, phase, kinds, fx.rss_at_ops)
         report["setup_s_each"] = setups
         phases = [phase]
     else:
@@ -351,13 +367,6 @@ def run(args) -> dict:
     }
 
 
-def dump_samples(phase, path: str) -> None:
-    """Every measured op, for later analysis: kind, ms, ok, trace id."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in phase.samples:
-            fh.write(json.dumps([s.kind, s.latency_s * 1e3, s.ok, s.trace_id]) + "\n")
-
-
 def provenance(args, fx, server) -> dict:
     return {
         "server_argv": server.argv if server is not None else None,
@@ -380,8 +389,8 @@ def print_report(result: dict) -> None:
           f"{result['attempted']} attempted; {report['oracle_pairs']} "
           "(document, query) pairs cross-checked")
     if "samples" in report:
-        print("# samples per kind: " + ", ".join(
-            f"{k}={n}" for k, n in report["samples"].items()))
+        print(f"# samples per kind (beyond the p{TAIL_Q * 100:.0f}): " + ", ".join(
+            f"{k}={n} ({beyond_tail(n)})" for k, n in report["samples"].items()))
     for name, m in sorted(result["metrics"].items()):
         print(f"{name:34s} {m['value']:12.4f} {m['unit']}")
     for kind, entry in report.get("breakdown_ms", {}).items():

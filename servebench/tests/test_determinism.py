@@ -25,7 +25,7 @@ def _files(directory: str) -> dict:
 
 
 def _inputs(workload: str, seed: int, directory: str):
-    fx = workloads.build(workload, seed, directory, rounds=3)
+    fx = workloads.build(workload, seed, directory)
     return _files(directory), fx.xml, fx.clients, fx.warmup
 
 
@@ -48,7 +48,7 @@ def test_other_seed_other_inputs(workload, tmp_path):
 
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
 def test_reference_answers_cover_every_request(workload, tmp_path):
-    fx = workloads.build(workload, 3, str(tmp_path), rounds=2)
+    fx = workloads.build(workload, 3, str(tmp_path))
     workloads.compute_reference(fx)
     for op in list(fx.warmup) + [op for ops in fx.clients for op in ops]:
         if op.kind != "ingest":

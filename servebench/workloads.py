@@ -99,6 +99,9 @@ INBOX_ITEMS = 8
 #: uniform think time between a client's requests: a few ms keeps the
 #: two clients from phase-locking onto the server's timer-driven latencies
 THINK_S = (0.0, 0.005)
+#: seeded shuffles of its op block in each client's sequence; a client
+#: that gets through them all starts over
+ROUNDS = 400
 
 SPINE_QUERIES = (
     Query("xpath", "Child*[lab() = mark]"),
@@ -118,10 +121,10 @@ SIDE_QUERIES = (
 )
 
 
-def _cycle(rng: random.Random, ops: list, rounds: int) -> list:
-    """``rounds`` seeded shuffles of ``ops``, concatenated."""
+def _cycle(rng: random.Random, ops: list) -> list:
+    """``ROUNDS`` seeded shuffles of ``ops``, concatenated."""
     out = []
-    for _ in range(rounds):
+    for _ in range(ROUNDS):
         block = list(ops)
         rng.shuffle(block)
         out.extend(block)
@@ -156,7 +159,7 @@ def _preload(fx: Fixtures, store: str, doc: str, tree) -> None:
     fx.nodes[doc] = tree.n
 
 
-def build(workload: str, seed: int, workdir: str, rounds: int = 400) -> Fixtures:
+def build(workload: str, seed: int, workdir: str) -> Fixtures:
     """Generate and write one workload's inputs under ``workdir``."""
     if workload not in WORKLOADS:
         raise ValueError(
@@ -165,11 +168,11 @@ def build(workload: str, seed: int, workdir: str, rounds: int = 400) -> Fixtures
     os.makedirs(workdir, exist_ok=True)
     fx = Fixtures(workload, seed, workdir)
     rng = random.Random(f"{workload}:{seed}")
-    WORKLOADS[workload](fx, seed, rng, rounds)
+    WORKLOADS[workload](fx, seed, rng)
     return fx
 
 
-def _navigate(fx: Fixtures, seed: int, rng: random.Random, rounds: int) -> None:
+def _navigate(fx: Fixtures, seed: int, rng: random.Random) -> None:
     """Two clients on a 50k-deep spine; CQ/datalog only on a small side
     document, ingests of small documents to a store nobody reads."""
     _preload(fx, "spine", "spine", deep_tree(SPINE_DEPTH, seed=seed))
@@ -184,11 +187,11 @@ def _navigate(fx: Fixtures, seed: int, rng: random.Random, rounds: int) -> None:
         base = [Op(q.kind, "spine", q) for q in SPINE_QUERIES + SPINE_QUERIES[2:]]
         base += [Op(q.kind, "side", q) for q in SIDE_QUERIES]
         base.append(Op("ingest", f"inbox{client}"))
-        fx.clients.append(_rotate_ingests(_cycle(rng, base, rounds), inbox, client))
+        fx.clients.append(_rotate_ingests(_cycle(rng, base), inbox, client))
     fx.rss_at_ops = 800
 
 
-def _relational(fx: Fixtures, seed: int, rng: random.Random, rounds: int) -> None:
+def _relational(fx: Fixtures, seed: int, rng: random.Random) -> None:
     """One client alternating CQ and datalog on a wide collection; a
     second, light client issues the cheap kinds (xpath, twig, small
     ingests) so every kind is reported."""
@@ -196,10 +199,10 @@ def _relational(fx: Fixtures, seed: int, rng: random.Random, rounds: int) -> Non
     inbox = _inbox_docs(fx, seed)
     fx.warmup = [Op(q.kind, "wide", q) for q in WIDE_QUERIES]
     heavy = [Op(q.kind, "wide", q) for q in WIDE_QUERIES[2:]]
-    fx.clients.append(_cycle(rng, heavy, rounds))
+    fx.clients.append(_cycle(rng, heavy))
     light = [Op(q.kind, "wide", q) for q in WIDE_QUERIES[:2]]
     light.append(Op("ingest", "inbox"))
-    fx.clients.append(_rotate_ingests(_cycle(rng, light, rounds), inbox))
+    fx.clients.append(_rotate_ingests(_cycle(rng, light), inbox))
     fx.rss_at_ops = 500
 
 
